@@ -39,7 +39,7 @@ import (
 func main() {
 	fs := flag.NewFlagSet("capserved", flag.ExitOnError)
 	listen := fs.String("listen", "127.0.0.1:0", "dispatch + telemetry address (host:port; :0 picks a free port)")
-	checkpoint := fs.String("checkpoint", "", "base directory for per-job checkpoint journals (shared with workers; empty = no crash safety)")
+	checkpoint := fs.String("checkpoint", "", "base directory for the coordinator's state and per-job cell journals (workers never touch it; empty = no crash safety)")
 	aggDir := fs.String("agg-dir", "", "base directory for per-job artifacts (surface.json, digests.json, jobreport.json, events.jsonl)")
 	workers := fs.Int("workers", 0, "supervise this many local capworker processes (0 = external workers only)")
 	workerBin := fs.String("worker-bin", "", "capworker binary for the supervised fleet (default: next to this binary, then $PATH)")

@@ -1,9 +1,11 @@
 // Command capworker is the sweep cell executor: it joins a capserved
 // coordinator, expands the job independently (the spec is declared,
 // not shipped — the CheckpointKey on each lease guards against
-// version skew), executes leased cells through the guarded executor
-// with its own checkpoint journal namespace, heartbeats per lease and
-// reports results as checkpoint-codec bytes.
+// version skew), executes leased cells through the guarded executor,
+// heartbeats per lease and reports results as checkpoint-codec bytes.
+// It keeps no journal and needs no filesystem shared with the
+// coordinator: the coordinator is the only writer of results, so the
+// wire is the worker's whole interface.
 //
 //	capworker -coordinator http://host:port [-id w0] [-max-leases 1]
 //	          [-cell-timeout 0]
@@ -32,7 +34,7 @@ import (
 
 func main() {
 	fs := flag.NewFlagSet("capworker", flag.ExitOnError)
-	id := fs.String("id", "", "worker identity: lease holder and journal writer namespace (default w-<pid>)")
+	id := fs.String("id", "", "worker identity: the lease holder name (default w-<pid>)")
 	coordinator := fs.String("coordinator", "", "coordinator base URL (http://host:port)")
 	maxLeases := fs.Int("max-leases", 1, "cells held at once")
 	cellTimeout := fs.Duration("cell-timeout", 0, "per-cell watchdog (0 = off)")

@@ -28,16 +28,12 @@
 // kernel drops the lock when the holder dies, so even a SIGKILL'd
 // writer never blocks a later resume.
 //
-// Multi-writer checkpoints: a sharded sweep has several processes
-// committing cells of one grid at once.  Open gives each writer its
-// own namespaced journal file (journal-<writer>.jsonl) under the same
-// manifest, so every writer keeps the single-writer guarantees above —
-// exclusive flock, append-only, fsync per commit — while resume loads
-// the union of every journal in the directory.  Two writers can commit
-// the same cell (a re-leased straggler whose first runner was slow,
-// not dead); the determinism contract makes their payloads
-// byte-identical, so the merge prefers any StatusDone record for a key
-// over non-Done records and is otherwise order-insensitive.
+// One checkpoint has one writer.  capbench's grid is a single process;
+// in the sweep service the coordinator is the only writer of cell
+// results (workers report over the wire and never touch a journal) and
+// of its own state journal.  Checkpoint directories from older builds,
+// which also held per-writer journal-<writer>.jsonl files, are refused
+// rather than resumed without those records.
 package ckpt
 
 import (
@@ -106,7 +102,6 @@ const (
 // pool workers.
 type Journal struct {
 	mu       sync.Mutex
-	dir      string
 	f        *os.File
 	records  map[string]Record
 	resumed  int
@@ -145,79 +140,52 @@ func Create(dir string, m Manifest) (*Journal, error) {
 	if err := writeManifest(dir, m); err != nil {
 		return nil, err
 	}
-	return open(dir, "", nil)
+	return open(dir, nil)
 }
 
 // Resume opens an existing checkpoint, verifying its identity hash
-// matches m's.  Committed records from every journal in the directory
-// — the classic journal.jsonl and any writer-namespaced journals a
-// sweep service left behind — become available through Lookup; torn or
-// digest-corrupt entries are dropped (their cells re-run).
+// matches m's.  Committed records from its journal become available
+// through Lookup; torn or digest-corrupt entries are dropped (their
+// cells re-run).
 func Resume(dir string, m Manifest) (*Journal, error) {
 	if err := verifyManifest(dir, m); err != nil {
 		return nil, err
 	}
-	records, err := loadAllJournals(dir)
+	if err := refuseWriterJournals(dir); err != nil {
+		return nil, err
+	}
+	records, err := loadJournal(filepath.Join(dir, journalName))
 	if err != nil {
 		return nil, err
 	}
-	return open(dir, "", records)
+	return open(dir, records)
 }
 
-// Open opens a checkpoint for one named writer of a multi-process
-// sweep: the manifest is created atomically if absent and verified
-// against m otherwise, records from every journal in the directory are
-// loaded, and this writer's commits append to its own
-// journal-<writer>.jsonl under its own exclusive flock.  Unlike
-// Create, Open tolerates an existing checkpoint — that is the point:
-// coordinator and workers all Open the same directory, each under a
-// distinct writer name.  An empty writer uses the classic journal.jsonl
-// (and so collides with Create/Resume holders, by design).
-func Open(dir string, m Manifest, writer string) (*Journal, error) {
-	if err := validWriter(writer); err != nil {
-		return nil, err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
+// Open creates the checkpoint when dir holds none and resumes it
+// otherwise — for long-lived owners (the sweep coordinator's state
+// and cell journals) that open the same directory on every start.
+func Open(dir string, m Manifest) (*Journal, error) {
 	if _, err := os.Stat(filepath.Join(dir, manifestName)); os.IsNotExist(err) {
-		if err := writeManifest(dir, m); err != nil {
-			return nil, err
-		}
+		return Create(dir, m)
 	}
-	// Verify even after writing: two racing writers both observing "no
-	// manifest" must still end up under one identity — whoever's atomic
-	// rename lost rechecks the winner's content here.
-	if err := verifyManifest(dir, m); err != nil {
-		return nil, err
-	}
-	records, err := loadAllJournals(dir)
-	if err != nil {
-		return nil, err
-	}
-	return open(dir, writer, records)
+	return Resume(dir, m)
 }
 
-// validWriter bounds writer names to filename-safe characters so a
-// namespaced journal cannot escape the checkpoint directory.
-func validWriter(writer string) error {
-	for _, r := range writer {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '_', r == '.':
-		default:
-			return fmt.Errorf("ckpt: writer name %q: only [A-Za-z0-9._-] allowed", writer)
-		}
+// refuseWriterJournals rejects a checkpoint written by an older build
+// whose sweep-service workers journaled into per-writer
+// journal-<writer>.jsonl files.  Resuming it without them would
+// silently drop their records — for the coordinator's state journal,
+// its whole durable queue.
+func refuseWriterJournals(dir string) error {
+	names, err := filepath.Glob(filepath.Join(dir, "journal-*.jsonl"))
+	if err != nil {
+		return err
+	}
+	if len(names) > 0 {
+		return fmt.Errorf("ckpt: %s is a per-writer journal from an older build; this version reads only %s — finish the sweep with that build or remove the directory",
+			names[0], journalName)
 	}
 	return nil
-}
-
-// journalFile names a writer's journal within the checkpoint dir.
-func journalFile(writer string) string {
-	if writer == "" {
-		return journalName
-	}
-	return "journal-" + writer + ".jsonl"
 }
 
 // writeManifest stamps and writes the manifest atomically.
@@ -255,8 +223,8 @@ func verifyManifest(dir string, m Manifest) error {
 // every commit lands after the loaded prefix, and flocked so a second
 // live process cannot interleave its appends with ours (the lock dies
 // with the process, so it never outlives a crash).
-func open(dir, writer string, records map[string]Record) (*Journal, error) {
-	f, err := os.OpenFile(filepath.Join(dir, journalFile(writer)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+func open(dir string, records map[string]Record) (*Journal, error) {
+	f, err := os.OpenFile(filepath.Join(dir, journalName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -267,36 +235,7 @@ func open(dir, writer string, records map[string]Record) (*Journal, error) {
 	if records == nil {
 		records = make(map[string]Record)
 	}
-	return &Journal{dir: dir, f: f, records: records}, nil
-}
-
-// loadAllJournals merges every journal in the directory, filename
-// order.  Within one file the last record per key wins (the
-// single-writer replay rule); across files a StatusDone record is
-// never displaced by a non-Done one — a second writer re-running a
-// straggler commits "running" after the first writer's "done", and the
-// done result (byte-identical by the determinism contract wherever it
-// was computed) must survive the merge.
-func loadAllJournals(dir string) (map[string]Record, error) {
-	names, err := filepath.Glob(filepath.Join(dir, "journal*.jsonl"))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(names)
-	merged := make(map[string]Record)
-	for _, name := range names {
-		records, err := loadJournal(name)
-		if err != nil {
-			return nil, err
-		}
-		for key, r := range records {
-			if have, ok := merged[key]; ok && have.Status == StatusDone && r.Status != StatusDone {
-				continue
-			}
-			merged[key] = r
-		}
-	}
-	return merged, nil
+	return &Journal{f: f, records: records}, nil
 }
 
 // loadJournal replays a record log, last record per key winning.  The
@@ -338,9 +277,6 @@ func hashPayload(p []byte) string {
 	sum := sha256.Sum256(p)
 	return hex.EncodeToString(sum[:])
 }
-
-// Dir reports the checkpoint directory.
-func (j *Journal) Dir() string { return j.dir }
 
 // Records returns a copy of every record currently visible through
 // Lookup — loaded at open plus committed since — sorted by key.  The

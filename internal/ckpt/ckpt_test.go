@@ -224,3 +224,75 @@ func TestCommitHook(t *testing.T) {
 		t.Errorf("cleared hook still saw %d commits, want 2", len(got))
 	}
 }
+
+// TestOpenCreatesThenResumes checks Open's create-or-resume contract:
+// a fresh directory gets a checkpoint, a second Open sees every record
+// the first committed, and a different identity is refused.
+func TestOpenCreatesThenResumes(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "state")
+	m := Manifest{Identity: "owner"}
+	j, err := Open(dir, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Commit(Record{Key: "a", Status: StatusDone, Payload: []byte("pa")}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	r, err := Open(dir, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, ok := r.Lookup("a"); !ok || string(rec.Payload) != "pa" {
+		t.Errorf("reopened Lookup(a) = %+v, %v; want the committed record", rec, ok)
+	}
+	r.Close()
+	if _, err := Open(dir, Manifest{Identity: "someone else"}); err == nil {
+		t.Error("Open accepted a checkpoint from a different sweep")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if strings.Join(names, ",") != journalName+","+manifestName { // ReadDir sorts by name
+		t.Errorf("checkpoint directory holds %v, want only %s and %s", names, manifestName, journalName)
+	}
+}
+
+// TestResumeRefusesWriterJournals: a checkpoint directory from an
+// older build that also holds a per-writer journal-<writer>.jsonl is
+// refused by name — resuming it from journal.jsonl alone would drop
+// every record the other file holds.
+func TestResumeRefusesWriterJournals(t *testing.T) {
+	dir := t.TempDir()
+	m := Manifest{Identity: "legacy"}
+	j, err := Create(dir, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	legacy := filepath.Join(dir, "journal-coord.jsonl")
+	line, err := json.Marshal(Record{Key: "job|x", Status: "queued", Payload: []byte("{}")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(legacy, append(line, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, open := range map[string]func() (*Journal, error){
+		"Resume": func() (*Journal, error) { return Resume(dir, m) },
+		"Open":   func() (*Journal, error) { return Open(dir, m) },
+	} {
+		if r, err := open(); err == nil {
+			r.Close()
+			t.Errorf("%s resumed a directory holding %s", name, legacy)
+		} else if !strings.Contains(err.Error(), legacy) {
+			t.Errorf("%s error does not name %s: %v", name, legacy, err)
+		}
+	}
+}

@@ -19,7 +19,7 @@ import (
 // closes.  TestJournalContentionLiveProcesses drives it.
 func TestMain(m *testing.M) {
 	if dir := os.Getenv("CKPT_LOCK_HELPER_DIR"); dir != "" {
-		lockHelper(dir, os.Getenv("CKPT_LOCK_HELPER_WRITER"))
+		lockHelper(dir)
 		return
 	}
 	os.Exit(m.Run())
@@ -28,8 +28,8 @@ func TestMain(m *testing.M) {
 // lockHelper is the child side: try Open once, report the outcome on
 // stdout ("LOCKED" or "DENIED <err>"), and — having won — hold the
 // journal until the parent closes stdin.
-func lockHelper(dir, writer string) {
-	j, err := Open(dir, Manifest{Identity: "contended"}, writer)
+func lockHelper(dir string) {
+	j, err := Open(dir, Manifest{Identity: "contended"})
 	if err != nil {
 		fmt.Printf("DENIED %v\n", err)
 		return
@@ -51,16 +51,14 @@ type lockChild struct {
 }
 
 // spawnLockChild starts the helper and reads its first verdict line.
-func spawnLockChild(t *testing.T, dir, writer string) (*lockChild, string) {
+func spawnLockChild(t *testing.T, dir string) (*lockChild, string) {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cmd := exec.Command(exe)
-	cmd.Env = append(os.Environ(),
-		"CKPT_LOCK_HELPER_DIR="+dir,
-		"CKPT_LOCK_HELPER_WRITER="+writer)
+	cmd.Env = append(os.Environ(), "CKPT_LOCK_HELPER_DIR="+dir)
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -106,8 +104,8 @@ func (c *lockChild) readLine(t *testing.T) string {
 }
 
 // TestJournalContentionLiveProcesses is the cross-process flock
-// contract: while one live process holds a journal writer's file,
-// a second live process — and this one — must be refused; once the
+// contract: while one live process holds a checkpoint's journal, a
+// second live process — and this one — must be refused; once the
 // holder closes, the journal opens and commits normally.  (The
 // in-process variant in lock_unix_test.go can't prove this: flock
 // exclusion across processes is per file description, and only a real
@@ -116,13 +114,13 @@ func (c *lockChild) readLine(t *testing.T) string {
 func TestJournalContentionLiveProcesses(t *testing.T) {
 	dir := t.TempDir()
 
-	holder, verdict := spawnLockChild(t, dir, "w")
+	holder, verdict := spawnLockChild(t, dir)
 	if verdict != "LOCKED" {
 		t.Fatalf("first process failed to take the journal: %q", verdict)
 	}
 
-	// A second live process racing the same writer name loses.
-	_, verdict2 := spawnLockChild(t, dir, "w")
+	// A second live process racing for the journal loses.
+	_, verdict2 := spawnLockChild(t, dir)
 	if !strings.HasPrefix(verdict2, "DENIED") {
 		t.Fatalf("second live process was not refused: %q", verdict2)
 	}
@@ -131,17 +129,9 @@ func TestJournalContentionLiveProcesses(t *testing.T) {
 	}
 
 	// This process loses the race too.
-	if _, err := Open(dir, Manifest{Identity: "contended"}, "w"); err == nil {
+	if _, err := Open(dir, Manifest{Identity: "contended"}); err == nil {
 		t.Fatal("parent opened a journal held by a live child process")
 	}
-
-	// A different writer namespace is not contended: that is the
-	// multi-writer seam sweepd workers rely on.
-	other, err := Open(dir, Manifest{Identity: "contended"}, "w2")
-	if err != nil {
-		t.Fatalf("sibling writer namespace refused: %v", err)
-	}
-	other.Close()
 
 	// The holder releases; the journal opens here and accepts commits.
 	holder.stdin.Close()
@@ -151,7 +141,7 @@ func TestJournalContentionLiveProcesses(t *testing.T) {
 	if err := holder.cmd.Wait(); err != nil {
 		t.Fatalf("holder exit: %v", err)
 	}
-	j, err := Open(dir, Manifest{Identity: "contended"}, "w")
+	j, err := Open(dir, Manifest{Identity: "contended"})
 	if err != nil {
 		t.Fatalf("open after holder exit: %v", err)
 	}

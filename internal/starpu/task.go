@@ -188,9 +188,6 @@ type Handle struct {
 // Bytes reports the handle's size.
 func (h *Handle) Bytes() units.Bytes { return h.bytes }
 
-// Dims reports the registered dimensions.
-func (h *Handle) Dims() []int { return h.dims }
-
 // Data reports the host payload registered with the handle (may be nil).
 func (h *Handle) Data() interface{} { return h.data }
 

@@ -49,10 +49,11 @@ import (
 
 // Config tunes a Coordinator.
 type Config struct {
-	// CheckpointDir is the base directory journals live under: the
-	// coordinator's own state journal (coordstate/) plus one cell-journal
-	// subdirectory per job, shared with workers on the same filesystem.
-	// Empty disables all durability (state lives only in memory).
+	// CheckpointDir is the base directory the coordinator's journals
+	// live under: its state journal (coordstate/) plus one cell-journal
+	// subdirectory per job.  Only the coordinator touches it; workers
+	// need no access.  Empty disables all durability (state lives only
+	// in memory).
 	CheckpointDir string
 	// AggDir is the base directory job artifacts are written under
 	// (surface.json, rollups.jsonl, stream.jsonl, digests.json,
@@ -141,6 +142,15 @@ type activeJob struct {
 	finished chan struct{}
 	finish   sync.Once
 	report   *JobReport
+
+	// sealMu orders result intake against sealing: handleResult holds
+	// it shared from Table.Complete until the result is journaled,
+	// digested and observed, and finishJob / sealCancelled hold it
+	// exclusively.  A concurrent last result therefore cannot seal the
+	// job while an earlier accepted result is still on its way into the
+	// artifacts.
+	sealMu sync.RWMutex
+	sealed bool // guarded by sealMu
 
 	// Queue state, guarded by Coordinator.mu.
 	state        jobState
@@ -554,7 +564,7 @@ func (c *Coordinator) activate(job *activeJob) error {
 	}
 	if c.cfg.CheckpointDir != "" {
 		job.ckptDir = filepath.Join(c.cfg.CheckpointDir, stamp)
-		journal, err := ckpt.Open(job.ckptDir, ckpt.Manifest{Identity: job.identity, RootSeed: job.spec.Seed}, "coord")
+		journal, err := ckpt.Open(job.ckptDir, ckpt.Manifest{Identity: job.identity, RootSeed: job.spec.Seed})
 		if err != nil {
 			if job.agg != nil {
 				job.agg.Close()
@@ -582,9 +592,9 @@ func (c *Coordinator) activate(job *activeJob) error {
 	}
 	c.bus.Publish(obs.Event{Type: obs.SweepStarted, Total: len(job.cells), PlanTotals: totals})
 
-	// Resume: every cell any previous process committed — coordinator or
-	// worker journals alike — is restored, fed to the surface and the
-	// digest ledger, and never dispatched.
+	// Resume: every cell a previous coordinator life committed is
+	// restored, fed to the surface and the digest ledger, and never
+	// dispatched.
 	if job.journal != nil {
 		for i, key := range job.keys {
 			rec, ok := job.journal.Lookup(key)
@@ -626,7 +636,10 @@ func (c *Coordinator) activate(job *activeJob) error {
 // artifacts, digests or a report: a cancelled job never produces a
 // report.  Idempotent via the job's finish latch.
 func (c *Coordinator) sealCancelled(job *activeJob) {
+	job.sealMu.Lock()
+	defer job.sealMu.Unlock()
 	job.finish.Do(func() {
+		job.sealed = true
 		if job.agg != nil {
 			if err := job.agg.Close(); err != nil {
 				c.cfg.Logf("sweepd: exporter close: %v", err)
@@ -811,10 +824,6 @@ func (job *activeJob) ID() string { return job.id }
 // ArtifactDir reports where the job's artifacts land ("" without
 // AggDir or before activation).
 func (job *activeJob) ArtifactDir() string { return job.dir }
-
-// CheckpointDirUsed reports the job's journal directory ("" without
-// checkpointing or before activation).
-func (job *activeJob) CheckpointDirUsed() string { return job.ckptDir }
 
 // cellPlanName renders a cell's plan for event labels.
 func cellPlanName(cfg core.Config) string {

@@ -110,7 +110,6 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 		spec := job.spec
 		reply.JobID = job.id
 		reply.Job = &spec
-		reply.CkptDir = job.ckptDir
 	}
 	c.mu.Unlock()
 	if fresh {
@@ -216,8 +215,17 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 			ok, errMsg = false, "payload decode: "+err.Error()
 		}
 	}
+	job.sealMu.RLock()
+	if job.sealed {
+		// Drained or cancelled while this report was in flight: the
+		// job's artifacts are written, nothing more may join them.
+		job.sealMu.RUnlock()
+		writeJSON(w, http.StatusOK, ResultReply{})
+		return
+	}
 	if !ok {
 		_, events := job.table.Complete(req.WorkerID, req.CellKey, false, errMsg)
+		job.sealMu.RUnlock()
 		c.publish(events)
 		c.journalBudgets(job)
 		c.countResult("error")
@@ -231,13 +239,16 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 
 	first, events := job.table.Complete(req.WorkerID, req.CellKey, true, "")
-	c.publish(events)
-	c.journalBudgets(job)
 	if first {
 		c.mu.Lock()
 		ws.cellsServed++
 		c.mu.Unlock()
 		c.acceptResult(job, req.CellIndex, res, req.Payload, false)
+	}
+	job.sealMu.RUnlock()
+	c.publish(events)
+	c.journalBudgets(job)
+	if first {
 		c.countResult("ok")
 	} else {
 		// A duplicated delivery (network dup, worker retry after a lost
@@ -646,9 +657,13 @@ func (c *Coordinator) checkFinished(job *activeJob) {
 // state-journal record lands after the artifacts: a crash in between
 // leaves the job "queued", so the restart re-activates it, resumes
 // every cell instantly from the cell journal, and atomically rewrites
-// the same bytes.
+// the same bytes.  The exclusive seal lock waits out every result
+// intake between Table.Complete and acceptResult, so each cell the
+// table counts as done is in the artifacts.
 func (c *Coordinator) finishJob(job *activeJob, drained bool) {
+	job.sealMu.Lock()
 	job.finish.Do(func() {
+		job.sealed = true
 		counts := job.table.Counts()
 		quar := job.table.Quarantined()
 		rep := &JobReport{
@@ -708,6 +723,7 @@ func (c *Coordinator) finishJob(job *activeJob, drained bool) {
 			job.id, rep.Done, rep.Cells, len(quar), rep.Stolen, rep.Expired)
 		close(job.finished)
 	})
+	job.sealMu.Unlock()
 	c.syncGauges()
 	c.promote()
 }

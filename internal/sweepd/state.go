@@ -24,7 +24,7 @@
 //     budget to burn another fleet with.
 //
 // kill -9 can land between any two syscalls: every Commit is fsynced
-// by ckpt, recovery replays the union, and anything the journal missed
+// by ckpt, recovery replays the journal, and anything the journal missed
 // (an un-acked submission, a budget increment in flight) degrades to
 // repeated work or a slightly generous budget — never lost results,
 // never a forgotten job that was acked.
@@ -96,7 +96,7 @@ type stateJournal struct {
 // under base.  The exclusive flock doubles as the single-coordinator
 // guard: two live coordinators cannot share one state directory.
 func openStateJournal(base string) (*stateJournal, error) {
-	j, err := ckpt.Open(filepath.Join(base, stateDirName), ckpt.Manifest{Identity: stateIdentity}, "coord")
+	j, err := ckpt.Open(filepath.Join(base, stateDirName), ckpt.Manifest{Identity: stateIdentity})
 	if err != nil {
 		return nil, fmt.Errorf("sweepd: state journal: %w", err)
 	}

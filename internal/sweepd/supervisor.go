@@ -21,8 +21,7 @@ type SupervisorConfig struct {
 	Workers int
 	// Spawn builds the command for one worker slot.  The id is unique
 	// per spawned process (slot plus generation), so a respawn never
-	// collides with its dead predecessor's lease-holder identity or
-	// journal namespace.
+	// collides with its dead predecessor's lease-holder identity.
 	Spawn func(slot int, id string) *exec.Cmd
 	// OnExit is called with the pid of every reaped worker process
 	// (wire to Coordinator.WorkerExited).
@@ -52,9 +51,6 @@ func (c SupervisorConfig) withDefaults() SupervisorConfig {
 // Supervisor keeps a fleet of worker processes alive.
 type Supervisor struct {
 	cfg SupervisorConfig
-
-	mu    sync.Mutex
-	procs map[int]*exec.Cmd // live process per slot
 }
 
 // NewSupervisor builds a supervisor; Run drives it.
@@ -65,20 +61,7 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	if cfg.Spawn == nil {
 		return nil, errors.New("sweepd: supervisor needs a Spawn function")
 	}
-	return &Supervisor{cfg: cfg.withDefaults(), procs: make(map[int]*exec.Cmd)}, nil
-}
-
-// Pids snapshots the live fleet (chaos harnesses pick victims here).
-func (s *Supervisor) Pids() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	pids := make([]int, 0, len(s.procs))
-	for _, cmd := range s.procs {
-		if cmd.Process != nil {
-			pids = append(pids, cmd.Process.Pid)
-		}
-	}
-	return pids
+	return &Supervisor{cfg: cfg.withDefaults()}, nil
 }
 
 // Run spawns the fleet and keeps every slot populated until the
@@ -113,9 +96,6 @@ func (s *Supervisor) runSlot(ctx context.Context, slot int) {
 		}
 		pid := cmd.Process.Pid
 		s.cfg.Logf("sweepd: slot %d: worker %s running (pid %d)", slot, id, pid)
-		s.mu.Lock()
-		s.procs[slot] = cmd
-		s.mu.Unlock()
 
 		done := make(chan error, 1)
 		go func() { done <- cmd.Wait() }()
@@ -132,9 +112,6 @@ func (s *Supervisor) runSlot(ctx context.Context, slot int) {
 				err = <-done
 			}
 		}
-		s.mu.Lock()
-		delete(s.procs, slot)
-		s.mu.Unlock()
 		if s.cfg.OnExit != nil {
 			s.cfg.OnExit(pid)
 		}

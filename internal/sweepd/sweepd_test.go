@@ -15,6 +15,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ckpt"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -401,5 +403,108 @@ func TestServiceHTTPSurface(t *testing.T) {
 	getJSON(t, s.srv.URL+PathState, &state)
 	if len(state.Workers) != 1 || state.Workers[0].ID != "w0" || state.Workers[0].CellsServed == 0 {
 		t.Fatalf("state workers = %+v", state.Workers)
+	}
+}
+
+// TestFinishWaitsForAcceptedResults is the seal-ordering regression:
+// the last cell's report must not seal the job while an earlier
+// report, already counted done by the lease table, is still being
+// journaled.  Report A is parked in the cell journal's commit hook —
+// after Table.Complete, before its digest and surface rollup — while
+// report B completes the table.  Every cell must still reach
+// digests.json, surface.json and the job report.
+func TestFinishWaitsForAcceptedResults(t *testing.T) {
+	s := startService(t, Config{AggDir: t.TempDir(), CheckpointDir: t.TempDir()})
+	job, err := s.coord.Submit(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s.coord.mu.Lock()
+		ready := s.coord.current() == job
+		s.coord.mu.Unlock()
+		if ready {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job never became leasable")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	results, err := core.RunCells(job.cells, core.ParallelOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := func(i int) {
+		payload, err := core.EncodeResult(results[i])
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		body, err := jsonMarshal(ResultRequest{WorkerID: "w0", JobID: job.id,
+			CellIndex: i, CellKey: job.keys[i], OK: true, Payload: payload})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp, err := http.Post(s.srv.URL+PathResult, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var rr ResultReply
+		decodeBody(t, resp, &rr)
+		if !rr.Accepted || !rr.First {
+			t.Errorf("cell %d: reply %+v, want the accepted first result", i, rr)
+		}
+	}
+	n := len(job.cells)
+	for i := 0; i < n-2; i++ {
+		report(i)
+	}
+
+	parkedKey := job.keys[n-2]
+	parked, release := make(chan struct{}), make(chan struct{})
+	job.journal.SetOnCommit(func(r ckpt.Record) {
+		if r.Key != parkedKey {
+			return
+		}
+		close(parked)
+		// With the seal lock, B's finishJob waits on this report, so B
+		// cannot return until the timeout lets A go on; without it, B
+		// seals and returns first and closes release.
+		select {
+		case <-release:
+		case <-time.After(300 * time.Millisecond):
+		}
+	})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { defer wg.Done(); report(n - 2) }()
+	<-parked
+	report(n - 1)
+	close(release)
+	wg.Wait()
+	waitDone(t, job, 10*time.Second)
+
+	var digests map[string]string
+	if err := json.Unmarshal(readArtifact(t, job, DigestsFile), &digests); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := digests[parkedKey]; !ok || len(digests) != n {
+		t.Errorf("%s holds %d of %d cells (parked cell present: %v)", DigestsFile, len(digests), n, ok)
+	}
+	if rep := job.Report(); rep == nil || rep.Done != n {
+		t.Errorf("report = %+v, want all %d cells done", rep, n)
+	}
+	var surface struct {
+		Cells int `json:"cells"`
+	}
+	if err := json.Unmarshal(readArtifact(t, job, "surface.json"), &surface); err != nil {
+		t.Fatal(err)
+	}
+	if surface.Cells != n {
+		t.Errorf("surface.json counts %d cells, want %d", surface.Cells, n)
 	}
 }

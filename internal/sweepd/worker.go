@@ -1,7 +1,9 @@
 // The worker side: join the coordinator, expand the job independently,
 // execute leased cells through the guarded executor (watchdog, panic
-// containment, per-worker checkpoint journal), heartbeat per lease,
-// and report results as checkpoint-codec bytes.
+// containment), heartbeat per lease, and report results as
+// checkpoint-codec bytes.  Workers keep nothing durable: the
+// coordinator journals every result it accepts, and a result lost on
+// the wire re-runs elsewhere byte-identically.
 package sweepd
 
 import (
@@ -18,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/ckpt"
 	"repro/internal/core"
 )
 
@@ -32,10 +33,9 @@ var errRejoin = errors.New("sweepd: rejoin")
 
 // WorkerConfig tunes a Worker.
 type WorkerConfig struct {
-	// ID names the worker; it is the lease holder identity and the
-	// checkpoint journal writer namespace, so it must be unique per
-	// concurrently-live worker and survive a respawn only if the old
-	// process is truly dead.
+	// ID names the worker: it is the lease holder identity, so it must
+	// be unique per concurrently-live worker and survive a respawn only
+	// if the old process is truly dead.
 	ID string
 	// Coordinator is the coordinator's base URL (http://host:port).
 	Coordinator string
@@ -236,14 +236,6 @@ func (w *Worker) runJob(ctx context.Context, jr JoinReply) error {
 		// spec level); nothing this worker leases can be right.
 		return fmt.Errorf("sweepd: %s: job %s does not expand: %w", w.cfg.ID, jr.JobID, err)
 	}
-	var journal *ckpt.Journal
-	if jr.CkptDir != "" {
-		journal, err = ckpt.Open(jr.CkptDir, ckpt.Manifest{Identity: job.Identity(), RootSeed: job.Seed}, w.cfg.ID)
-		if err != nil {
-			return fmt.Errorf("sweepd: %s: journal: %w", w.cfg.ID, err)
-		}
-		defer journal.Close()
-	}
 	hb := time.Duration(jr.HeartbeatMs) * time.Millisecond
 	if hb <= 0 {
 		hb = time.Second
@@ -272,7 +264,7 @@ func (w *Worker) runJob(ctx context.Context, jr JoinReply) error {
 			continue
 		}
 		for _, l := range lr.Leases {
-			if err := w.runLease(ctx, jr, cells, l, journal, hb); err != nil {
+			if err := w.runLease(ctx, jr, cells, l, hb); err != nil {
 				return err
 			}
 		}
@@ -281,7 +273,7 @@ func (w *Worker) runJob(ctx context.Context, jr JoinReply) error {
 }
 
 // runLease executes one leased cell and reports its outcome.
-func (w *Worker) runLease(ctx context.Context, jr JoinReply, cells []core.Config, l Lease, journal *ckpt.Journal, hb time.Duration) error {
+func (w *Worker) runLease(ctx context.Context, jr JoinReply, cells []core.Config, l Lease, hb time.Duration) error {
 	if l.CellIndex < 0 || l.CellIndex >= len(cells) || cells[l.CellIndex].CheckpointKey() != l.CellKey {
 		// Version skew: this binary expands the job differently than the
 		// coordinator.  Refuse the cell rather than compute the wrong one.
@@ -332,7 +324,6 @@ func (w *Worker) runLease(ctx context.Context, jr JoinReply, cells []core.Config
 	results, err := core.RunCells([]core.Config{cells[l.CellIndex]}, core.ParallelOptions{
 		Workers:     1,
 		Context:     cellCtx,
-		Checkpoint:  journal,
 		CellTimeout: w.cfg.CellTimeout,
 	})
 	cancel()

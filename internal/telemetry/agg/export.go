@@ -93,15 +93,17 @@ type Exporter struct {
 	closed  bool
 	wake    chan struct{}
 	done    chan struct{}
+	stopped chan struct{} // closed when loop returns
 }
 
 // NewExporter starts an exporter over the sink.
 func NewExporter(sink Sink, cfg ExporterConfig) *Exporter {
 	e := &Exporter{
-		cfg:  cfg.withDefaults(),
-		sink: sink,
-		wake: make(chan struct{}, 1),
-		done: make(chan struct{}),
+		cfg:     cfg.withDefaults(),
+		sink:    sink,
+		wake:    make(chan struct{}, 1),
+		done:    make(chan struct{}),
+		stopped: make(chan struct{}),
 	}
 	go e.loop()
 	return e
@@ -160,6 +162,7 @@ func (e *Exporter) Pending() int {
 // loop is the background flusher: it wakes on batch-size pressure, on
 // the age timer, and on Close.
 func (e *Exporter) loop() {
+	defer close(e.stopped)
 	timer := time.NewTimer(e.cfg.MaxAge)
 	defer timer.Stop()
 	for {
@@ -245,7 +248,9 @@ func (e *Exporter) Flush() {
 	}
 }
 
-// Close flushes, stops the background goroutine and closes the sink.
+// Close stops the background goroutine, waits out any batch it is
+// still delivering, flushes the rest and closes the sink — so no
+// batch can reach the sink after Close returns, or be lost to it.
 func (e *Exporter) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -255,6 +260,7 @@ func (e *Exporter) Close() error {
 	e.closed = true
 	e.mu.Unlock()
 	close(e.done)
+	<-e.stopped
 	e.Flush()
 	return e.sink.Close()
 }

@@ -37,6 +37,9 @@ echo "coordkill-smoke: serial baselines (fig4, grid seed 11, grid seed 22)" >&2
     -agg-dir "$work/baseC" 2> "$work/baseC.err"
 
 start_service() { # $1 = stderr log
+    # Create the log first: the backgrounded redirection may not have
+    # opened it yet when the address poll below first reads it.
+    : > "$1"
     "$work/capserved" "${LEASE[@]}" -workers 2 \
         -net-faults "$NETFAULTS" -net-seed 7 \
         -checkpoint "$work/ck" -agg-dir "$work/svc" 2> "$1" &
@@ -85,7 +88,11 @@ curl -sf "$base/healthz/live" | grep -q '"alive"' || {
     echo "coordkill-smoke: FAIL — /healthz/live unhealthy" >&2; exit 1; }
 curl -sf "$base/healthz/ready" | grep -q '"ready":true' || {
     echo "coordkill-smoke: FAIL — /healthz/ready not ready with queue room" >&2; exit 1; }
-curl -sf "$base/metrics" | grep -q '^capsim_sweepd_queue_depth' || {
+# Save the body before grepping: under pipefail, grep -q exiting at the
+# first match would fail curl with EPIPE mid-body.
+curl -sf "$base/metrics" >"$work/metrics.txt" || {
+    echo "coordkill-smoke: FAIL — /metrics unreachable" >&2; exit 1; }
+grep -q '^capsim_sweepd_queue_depth' "$work/metrics.txt" || {
     echo "coordkill-smoke: FAIL — queue depth gauge missing from /metrics" >&2; exit 1; }
 
 # Cancel D while it is still queued: it must never touch the filesystem.
@@ -153,6 +160,16 @@ if compgen -G "$work/svc/cancelme-*" > /dev/null || compgen -G "$work/ck/cancelm
     ls "$work/svc" "$work/ck" >&2
     exit 1
 fi
+
+# The coordinator is the only journal writer: every checkpoint
+# directory (state and per-job) holds its manifest and one journal.
+for d in "$work"/ck/*/; do
+    have=$(cd "$d" && ls | tr '\n' ' ')
+    if [[ "$have" != "journal.jsonl manifest.json " ]]; then
+        echo "coordkill-smoke: FAIL — $d holds: $have(want only manifest.json and journal.jsonl)" >&2
+        exit 1
+    fi
+done
 
 resumed=$(sed -n 's/^sweepd: job [0-9a-f]*: resumed \([0-9]*\) cell(s).*/\1/p' "$work/svc2.err" | head -1)
 echo "coordkill-smoke: OK — recovered queue finished byte-identical (resumed ${resumed:-0} cell(s)); cancelled job left no trace" >&2
