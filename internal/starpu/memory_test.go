@@ -184,3 +184,160 @@ func TestEvictionStressNeverLosesData(t *testing.T) {
 		}
 	}
 }
+
+// refMemory is the brute-force reference for nodeMemory: an ordered
+// resident list (front = least recent) and a pin-count map, with every
+// derived quantity recomputed by walking the list.
+type refMemory struct {
+	lru  []*Handle
+	pins map[*Handle]int
+}
+
+func (r *refMemory) index(h *Handle) int {
+	for i, x := range r.lru {
+		if x == h {
+			return i
+		}
+	}
+	return -1
+}
+
+func (r *refMemory) touch(h *Handle) {
+	r.drop(h)
+	r.lru = append(r.lru, h)
+}
+
+func (r *refMemory) drop(h *Handle) {
+	if i := r.index(h); i >= 0 {
+		r.lru = append(r.lru[:i], r.lru[i+1:]...)
+	}
+}
+
+func (r *refMemory) unpin(h *Handle) {
+	if r.pins[h] > 0 {
+		r.pins[h]--
+	}
+}
+
+func (r *refMemory) used() units.Bytes {
+	var b units.Bytes
+	for _, h := range r.lru {
+		b += h.bytes
+	}
+	return b
+}
+
+// evictable sums resident, unpinned bytes outside skip.
+func (r *refMemory) evictable(skip []*Handle) units.Bytes {
+	var b units.Bytes
+	for _, h := range r.lru {
+		if r.pins[h] == 0 && !containsHandle(skip, h) {
+			b += h.bytes
+		}
+	}
+	return b
+}
+
+func (r *refMemory) victim() *Handle {
+	for _, h := range r.lru {
+		if r.pins[h] == 0 {
+			return h
+		}
+	}
+	return nil
+}
+
+// canFit is the admission rule spelled out by an LRU walk.
+func (r *refMemory) canFit(t *Task, capacity units.Bytes) bool {
+	var needed units.Bytes
+	for i, h := range t.Handles {
+		if !containsHandle(t.Handles[:i], h) && r.index(h) < 0 {
+			needed += h.bytes
+		}
+	}
+	return needed <= capacity-r.used()+r.evictable(t.Handles)
+}
+
+// TestNodeMemoryMatchesLRUWalk drives a bounded node through seeded
+// random sequences of touch, drop, pin, unpin and dropInvalid — with
+// handles pinned before they are resident, dropped while pinned and
+// touched again while pinned — and checks after every step that the
+// running evictable count, canFit (on working sets that repeat
+// handles), the victim and the whole LRU order agree with a
+// brute-force walk.
+func TestNodeMemoryMatchesLRUWalk(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rt, m := newCappedRT(t, 6)
+		mem := rt.memory[1]
+		rng := newSeededRand(seed)
+		handles := make([]*Handle, 12)
+		for i := range handles {
+			handles[i] = rt.Register(nil, 8, 64, 64*(1+rng.Intn(3)))
+		}
+		ref := &refMemory{pins: make(map[*Handle]int)}
+		for step := 0; step < 400; step++ {
+			h := handles[rng.Intn(len(handles))]
+			var op string
+			switch rng.Intn(6) {
+			case 0, 1:
+				op = "touch"
+				mem.touch(h)
+				ref.touch(h)
+			case 2:
+				op = "drop"
+				mem.drop(h)
+				ref.drop(h)
+			case 3:
+				op = "dropInvalid"
+				rt.dropInvalid(h, 1)
+				ref.drop(h)
+			case 4:
+				op = "pin"
+				mem.pin(h)
+				ref.pins[h]++
+			case 5:
+				op = "unpin"
+				mem.unpin(h)
+				ref.unpin(h)
+			}
+			where := fmt.Sprintf("seed %d step %d (%s handle %d)", seed, step, op, h.id)
+
+			if mem.used != ref.used() {
+				t.Fatalf("%s: used %v, walk says %v", where, mem.used, ref.used())
+			}
+			if want := ref.evictable(nil); mem.evictable != want {
+				t.Fatalf("%s: evictable %v, walk says %v", where, mem.evictable, want)
+			}
+			if got, want := mem.victim(), ref.victim(); got != want {
+				t.Fatalf("%s: victim %v, walk says %v", where, got, want)
+			}
+			var order []*Handle
+			for id := mem.head; id >= 0; id = mem.slots[id].next {
+				order = append(order, mem.slots[id].h)
+			}
+			var back []*Handle
+			for id := mem.tail; id >= 0; id = mem.slots[id].prev {
+				back = append(back, mem.slots[id].h)
+			}
+			if fmt.Sprint(order) != fmt.Sprint(ref.lru) || len(back) != len(order) {
+				t.Fatalf("%s: LRU order %v (%d linked backwards), walk says %v", where, order, len(back), ref.lru)
+			}
+			for i := range back {
+				if back[i] != order[len(order)-1-i] {
+					t.Fatalf("%s: backward links disagree with forward links", where)
+				}
+			}
+
+			// A working set of 1–4 handles drawn from a few, so the
+			// same handle often appears twice in one task.
+			ws := make([]*Handle, 1+rng.Intn(4))
+			for i := range ws {
+				ws[i] = handles[rng.Intn(4)]
+			}
+			task := &Task{Handles: ws}
+			if got, want := rt.canFit(task, 1), ref.canFit(task, m.capacity); got != want {
+				t.Fatalf("%s: canFit(%v) = %v, walk says %v", where, ws, got, want)
+			}
+		}
+	}
+}

@@ -40,6 +40,12 @@ type Worker struct {
 	// allocation source on the hot path.
 	wake func()
 
+	// class is the worker-class string last seen for this worker and
+	// classID its interned ID (-1 before the first query); the runtime
+	// re-interns only when the machine reports a different string.
+	class   string
+	classID int32
+
 	// Statistics.
 	tasksRun int
 	busyTime units.Seconds
@@ -107,9 +113,9 @@ type Runtime struct {
 	handles  []*Handle
 	nPending int
 
-	// memory tracks bounded memory nodes (LRU eviction); nil when the
-	// machine does not bound any node.
-	memory   map[int]*nodeMemory
+	// memory tracks bounded memory nodes (LRU eviction), indexed by node
+	// with nil for unbounded nodes; nil when the machine bounds none.
+	memory   []*nodeMemory
 	memStats MemoryStats
 
 	// lastWorker is the worker whose completion released the tasks
@@ -117,14 +123,21 @@ type Runtime struct {
 	lastWorker int
 
 	// estCache memoizes estimate() results so the dm-family schedulers
-	// stop re-hashing composite string keys under the model's lock for
-	// every (ready task, candidate worker) pair.  Entries self-invalidate:
-	// each remembers the worker-class string and class generation it was
-	// computed under, so a cap change (new class string) or a completion
-	// recording new samples for the class (bumped classGen) turns the
-	// entry stale without any eager scan.
-	estCache map[estKey]estVal
-	classGen map[string]uint64
+	// neither hash nor consult the model's lock for every (ready task,
+	// candidate worker) pair.  It is a flat slice indexed by
+	// estClass*len(workers)+worker: each task is interned once into an
+	// estimate class (estClasses, keyed by codelet, footprint and work),
+	// and worker-class strings are interned into dense IDs (classIDs).
+	// Entries self-invalidate: each remembers the class ID and class
+	// generation it was computed under, so a cap change (new class
+	// string, new ID) or a completion recording new samples for the
+	// class (bumped classGen) turns the entry stale without any eager
+	// scan.  A cap that returns to an earlier value re-interns to the
+	// earlier ID, so entries still holding it become valid again.
+	estCache   []estVal
+	estClasses map[estClassKey]int32
+	classIDs   map[string]int32
+	classGen   []uint64
 
 	// Fault bookkeeping: evictions in order, tasks that exhausted their
 	// retry budget, tasks stranded with no surviving eligible worker.
@@ -157,11 +170,11 @@ func New(machine Machine, cfg Config) (*Runtime, error) {
 		cfg:        cfg,
 		model:      cfg.Model,
 		lastWorker: -1,
-		estCache:   make(map[estKey]estVal),
-		classGen:   make(map[string]uint64),
+		estClasses: make(map[estClassKey]int32),
+		classIDs:   make(map[string]int32),
 	}
 	for i := 0; i < machine.NumWorkers(); i++ {
-		w := &Worker{ID: i, Info: machine.Worker(i)}
+		w := &Worker{ID: i, Info: machine.Worker(i), classID: -1}
 		w.wake = func() { rt.tryStart(w) }
 		rt.workers = append(rt.workers, w)
 	}
@@ -503,10 +516,11 @@ func (rt *Runtime) complete(w *Worker, t *Task) {
 	w.tasksRun++
 	rt.nPending--
 
+	class := rt.workerClassID(w.ID)
 	key := perfmodel.Key{
 		Codelet:     t.Codelet.Name,
 		Footprint:   t.Footprint(),
-		WorkerClass: rt.machine.WorkerClass(w.ID),
+		WorkerClass: w.class,
 	}
 	rt.model.Record(key, t.Duration())
 	if rt.cfg.Regression != nil {
@@ -514,7 +528,7 @@ func (rt *Runtime) complete(w *Worker, t *Task) {
 	}
 	// The new sample moved the model's mean (and regression fit) for this
 	// class; cached estimates rendered under the old generation are stale.
-	rt.classGen[key.WorkerClass]++
+	rt.classGen[class]++
 
 	if rt.cfg.Observer != nil {
 		rt.cfg.Observer.TaskCompleted(w.ID, t)
@@ -552,46 +566,82 @@ func (rt *Runtime) Run() (units.Seconds, error) {
 	return engine.Now() - start, nil
 }
 
-// estKey identifies one memoized estimate.  The codelet is keyed by
-// pointer identity (codelets are per-kernel singletons); work is part of
-// the key because the regression model and the uncalibrated fallback
+// estClassKey identifies one estimate class: tasks that share it get
+// the same prediction on a given worker.  The codelet is keyed by
+// pointer identity (codelets are per-kernel singletons); work is part
+// of the key because the regression model and the uncalibrated fallback
 // scale with flops, not footprint.
-type estKey struct {
+type estClassKey struct {
 	codelet   *Codelet
 	footprint uint64
 	work      units.Flops
-	worker    int
 }
 
 // estVal is a memoized estimate plus the validity epoch it was computed
-// under (see Runtime.estCache).
+// under (see Runtime.estCache); set is false in an empty or flushed slot.
 type estVal struct {
-	class      string
+	set        bool
+	calibrated bool
+	class      int32
 	gen        uint64
 	dur        units.Seconds
-	calibrated bool
+}
+
+// estClassOf reports t's estimate-class index, interning it on first use.
+func (rt *Runtime) estClassOf(t *Task) int {
+	if t.estClass == 0 {
+		k := estClassKey{codelet: t.Codelet, footprint: t.Footprint(), work: t.Work}
+		id, ok := rt.estClasses[k]
+		if !ok {
+			id = int32(len(rt.estClasses))
+			rt.estClasses[k] = id
+			rt.estCache = append(rt.estCache, make([]estVal, len(rt.workers))...)
+		}
+		t.estClass = id + 1
+	}
+	return int(t.estClass - 1)
+}
+
+// workerClassID reports the interned ID of worker i's current class
+// string.  The machine renders the string; it is looked up in classIDs
+// only when it differs from the one seen last for this worker.
+func (rt *Runtime) workerClassID(i int) int32 {
+	w := rt.workers[i]
+	class := rt.machine.WorkerClass(i)
+	if w.classID >= 0 && class == w.class {
+		return w.classID
+	}
+	id, ok := rt.classIDs[class]
+	if !ok {
+		id = int32(len(rt.classGen))
+		rt.classIDs[class] = id
+		rt.classGen = append(rt.classGen, 0)
+	}
+	w.class, w.classID = class, id
+	return id
 }
 
 // estimate reports the model's prediction for t on worker i, falling
 // back to a work-proportional guess while uncalibrated.  Results are
-// memoized per (codelet, footprint, work, worker) and trusted only
-// while the worker's class string and class generation are unchanged.
+// memoized per (estimate class, worker) and trusted only while the
+// worker's class ID and that class's generation are unchanged.
 func (rt *Runtime) estimate(t *Task, i int) (units.Seconds, bool) {
-	class := rt.machine.WorkerClass(i)
-	ck := estKey{codelet: t.Codelet, footprint: t.Footprint(), work: t.Work, worker: i}
+	ec := rt.estClassOf(t)
+	class := rt.workerClassID(i)
 	gen := rt.classGen[class]
-	if v, ok := rt.estCache[ck]; ok && v.gen == gen && v.class == class {
+	v := &rt.estCache[ec*len(rt.workers)+i]
+	if v.set && v.class == class && v.gen == gen {
 		return v.dur, v.calibrated
 	}
-	dur, calibrated := rt.estimateUncached(t, i, ck.footprint, class)
-	rt.estCache[ck] = estVal{class: class, gen: gen, dur: dur, calibrated: calibrated}
+	dur, calibrated := rt.estimateUncached(t, i, rt.workers[i].class)
+	*v = estVal{set: true, calibrated: calibrated, class: class, gen: gen, dur: dur}
 	return dur, calibrated
 }
 
-func (rt *Runtime) estimateUncached(t *Task, i int, footprint uint64, class string) (units.Seconds, bool) {
+func (rt *Runtime) estimateUncached(t *Task, i int, class string) (units.Seconds, bool) {
 	key := perfmodel.Key{
 		Codelet:     t.Codelet.Name,
-		Footprint:   footprint,
+		Footprint:   t.Footprint(),
 		WorkerClass: class,
 	}
 	if d, ok := rt.model.Estimate(key); ok {
@@ -611,13 +661,13 @@ func (rt *Runtime) estimateUncached(t *Task, i int, footprint uint64, class stri
 	return units.Seconds(float64(t.Work) / rate), false
 }
 
-// transferEstimate reports dmda's data-arrival cost for t on worker i:
-// the uncontended transfer time of every handle missing from i's node.
-func (rt *Runtime) transferEstimate(t *Task, i int) units.Seconds {
+// transferEstimate reports dmda's data-arrival cost for t on memory
+// node: the uncontended transfer time of every handle missing there.
+// It depends on the node only, so schedulers compute it once per node.
+func (rt *Runtime) transferEstimate(t *Task, node int) units.Seconds {
 	if rt.cfg.DisableTransferModel {
 		return 0
 	}
-	node := rt.workers[i].Info.Node
 	var sum units.Seconds
 	for _, h := range t.Handles {
 		if h.valid.has(node) {

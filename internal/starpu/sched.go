@@ -228,6 +228,10 @@ type dmSched struct {
 	sorted    bool
 	rt        *Runtime
 	queues    []taskQueue
+	// xfer memoizes the pushed task's transfer estimate per memory node
+	// (xferSet marks the nodes computed during the current push).
+	xfer    []units.Seconds
+	xferSet []bool
 }
 
 func (s *dmSched) Name() string { return s.name }
@@ -237,6 +241,20 @@ func (s *dmSched) Init(rt *Runtime) {
 	for i := range s.queues {
 		s.queues[i].sorted = s.sorted
 	}
+	s.xfer = make([]units.Seconds, rt.machine.NumNodes())
+	s.xferSet = make([]bool, rt.machine.NumNodes())
+}
+
+// nodeTransfer reports t's transfer estimate to node, computing it at
+// most once per push: the data-aware term depends only on the worker's
+// memory node, and every CPU worker shares node 0.  Push must reset
+// xferSet before scoring a new task.
+func (s *dmSched) nodeTransfer(t *Task, node int) units.Seconds {
+	if !s.xferSet[node] {
+		s.xfer[node] = s.rt.transferEstimate(t, node)
+		s.xferSet[node] = true
+	}
+	return s.xfer[node]
 }
 
 func (s *dmSched) Push(t *Task) {
@@ -245,6 +263,7 @@ func (s *dmSched) Push(t *Task) {
 	bestMetric := units.Seconds(math.Inf(1))
 	var bestECT units.Seconds
 	var cands []Candidate
+	clear(s.xferSet)
 	for i := 0; i < s.rt.machine.NumWorkers(); i++ {
 		if !s.rt.CanRun(i, t.Codelet) {
 			continue
@@ -262,7 +281,7 @@ func (s *dmSched) Push(t *Task) {
 		metric := ect
 		var xfer units.Seconds
 		if s.dataAware {
-			xfer = s.rt.transferEstimate(t, i)
+			xfer = s.nodeTransfer(t, w.Info.Node)
 			metric += xfer
 		}
 		if s.rt.observing() {

@@ -97,6 +97,9 @@ type Task struct {
 	// of every push.
 	footprint    uint64
 	footprintSet bool
+	// estClass is the runtime's estimate-class index plus one (0 = not
+	// yet interned; see Runtime.estClassOf).
+	estClass int32
 
 	// Fault/recovery state (owned by the runtime).  attempt is the
 	// execution-attempt generation: every abort or eviction bumps it, and

@@ -15,15 +15,14 @@ func TestAggregatorObserveDedup(t *testing.T) {
 	c := cellN(0)
 	a.ObserveCell(c)
 	a.ObserveCell(c) // resume path: same key again
-	a.Flush()
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if got := sink.delivered(); got != 1 {
 		t.Fatalf("sink saw %d rollups, want 1 (dedup)", got)
 	}
 	if a.Surface().Cells() != 1 {
 		t.Fatalf("surface cells = %d, want 1", a.Surface().Cells())
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -32,7 +31,6 @@ func TestAggregatorObserveDedup(t *testing.T) {
 func TestNilAggregator(t *testing.T) {
 	var a *Aggregator
 	a.ObserveCell(cellN(0))
-	a.Flush()
 	if a.Dropped() != 0 || a.Surface() != nil {
 		t.Fatal("nil aggregator must be inert")
 	}

@@ -51,14 +51,6 @@ func (a *Aggregator) ObserveCell(c CellRollup) {
 	}
 }
 
-// Flush synchronously drains the exporter (no-op without one).
-func (a *Aggregator) Flush() {
-	if a == nil || a.exporter == nil {
-		return
-	}
-	a.exporter.Flush()
-}
-
 // Dropped reports the exporter's dropped-rollup count.
 func (a *Aggregator) Dropped() uint64 {
 	if a == nil || a.exporter == nil {

@@ -234,9 +234,11 @@ func (e *Exporter) deliver(batch []CellRollup) error {
 	return fmt.Errorf("agg: batch dropped after %d attempts: %w", e.cfg.MaxAttempts, err)
 }
 
-// Flush synchronously drains everything queued so far through the sink
-// (still honouring the retry discipline per batch).
-func (e *Exporter) Flush() {
+// drain synchronously delivers everything still queued through the sink
+// (honouring the retry discipline per batch).  Only Close calls it,
+// after loop has returned, so exactly one goroutine ever flushes at a
+// time: the loop while it runs, then Close.
+func (e *Exporter) drain() {
 	for {
 		e.mu.Lock()
 		empty := len(e.queue) == 0
@@ -261,7 +263,7 @@ func (e *Exporter) Close() error {
 	e.mu.Unlock()
 	close(e.done)
 	<-e.stopped
-	e.Flush()
+	e.drain()
 	return e.sink.Close()
 }
 

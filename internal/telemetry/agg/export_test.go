@@ -108,14 +108,15 @@ func TestExporterRetryBackoff(t *testing.T) {
 	sink := &memSink{fails: 3}
 	var slept []time.Duration
 	// BatchSize above the enqueue count keeps the background flusher out
-	// of the way: delivery happens synchronously inside Flush, so the
-	// recorded backoffs are race-free.
+	// of the way: delivery happens synchronously inside Close's drain,
+	// after the flusher has returned, so the recorded backoffs are
+	// race-free.
 	e := NewExporter(sink, ExporterConfig{
 		BatchSize: 10, MaxAge: time.Hour, Backoff: 10 * time.Millisecond,
 		Sleep: func(d time.Duration) { slept = append(slept, d) },
 	})
 	e.Enqueue(cellN(0))
-	e.Flush()
+	e.Close()
 	if got := sink.delivered(); got != 1 {
 		t.Fatalf("delivered %d, want 1 after retries", got)
 	}
@@ -131,7 +132,6 @@ func TestExporterRetryBackoff(t *testing.T) {
 			t.Fatalf("backoff %d = %v, want %v", i, slept[i], want[i])
 		}
 	}
-	e.Close()
 }
 
 // TestExporterRetryExhaustionDrops: a sink that never recovers costs
@@ -139,7 +139,8 @@ func TestExporterRetryBackoff(t *testing.T) {
 func TestExporterRetryExhaustionDrops(t *testing.T) {
 	sink := &memSink{fails: 1 << 20}
 	var onDrop int
-	// BatchSize above the enqueue count: Flush delivers synchronously.
+	// BatchSize above the enqueue count: Close's drain delivers
+	// synchronously.
 	e := NewExporter(sink, ExporterConfig{
 		BatchSize: 10, MaxAge: time.Hour, MaxAttempts: 3,
 		Sleep:  func(time.Duration) {},
@@ -147,11 +148,10 @@ func TestExporterRetryExhaustionDrops(t *testing.T) {
 	})
 	e.Enqueue(cellN(0))
 	e.Enqueue(cellN(1))
-	e.Flush()
+	e.Close()
 	if e.Dropped() != 2 || onDrop != 2 {
 		t.Fatalf("dropped=%d onDrop=%d, want 2/2", e.Dropped(), onDrop)
 	}
-	e.Close()
 }
 
 // TestExporterDropOldest: sustained backpressure sheds the oldest

@@ -17,6 +17,9 @@ trap 'rm -rf "$work"' EXIT
 $GO build -o "$work/capbench" ./cmd/capbench
 
 echo "obs-smoke: sweep with live telemetry (hold $HOLD)" >&2
+# Create the log first: the backgrounded redirection may not have opened
+# it yet when the address poll below first reads it.
+: > "$work/run.err"
 "$work/capbench" "${ARGS[@]}" -parallel 2 -checkpoint "$work/ck" \
     -agg-dir "$work/agg" -metrics-addr 127.0.0.1:0 -hold "$HOLD" \
     > "$work/run.txt" 2> "$work/run.err" &
